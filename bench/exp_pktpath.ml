@@ -15,8 +15,11 @@
 
    bench pktpath [--batch N]... sweeps the requested factors (default
    1, 16, 64, 256), appending one "pktpath-bN" row per factor.  With
-   --min-speedup S the run fails unless the best batched factor reaches
-   S x the batch-1 packet rate — the perf gate for the batch path. *)
+   --words-baseline FILE the run fails unless every factor's minor
+   words/packet stays within 5% above the same-label row of FILE (the
+   committed BENCH_micro.json) — the perf gate for the batch path.
+   Allocation is deterministic for a given build, so the bar is tight
+   where a wall-clock rate would need a loose one. *)
 
 open Openmb_sim
 open Openmb_net
@@ -25,9 +28,10 @@ open Openmb_mbox
 open Openmb_traffic
 
 (* Set by the driver (bench pktpath --batch N [--batch N...]
-   / --min-speedup S). *)
+   / --words-baseline FILE). *)
 let batches : int list ref = ref []
-let min_speedup : float option ref = ref None
+let words_baseline : string option ref = ref None
+let words_tolerance = 0.05
 
 let default_batches = [ 1; 16; 64; 256 ]
 let packets = 200_000
@@ -192,19 +196,33 @@ let run () =
              ("minor_words_per_packet", Json.Float (r.r_minor_words /. float_of_int packets));
            ]))
     results;
-  match !min_speedup with
+  match !words_baseline with
   | None -> ()
-  | Some gate -> (
-    match base with
-    | None -> failwith "pktpath: --min-speedup needs --batch 1 in the sweep"
-    | Some b ->
-      let best =
-        List.fold_left
-          (fun acc r -> if r.r_batch > 1 then Float.max acc (r.r_pps /. b) else acc)
-          0.0 results
-      in
-      if best < gate then
-        failwith
-          (Printf.sprintf "pktpath: best batched speedup %.2fx below the --min-speedup %.2fx gate"
-             best gate)
-      else Util.row "  [gate] best batched speedup %.2fx >= %.2fx\n" best gate)
+  | Some file ->
+    let committed =
+      match Json.of_string (In_channel.with_open_text file In_channel.input_all) with
+      | json -> json
+      | exception (Sys_error _ | Json.Parse_error _) ->
+        failwith (Printf.sprintf "pktpath: cannot read --words-baseline %s" file)
+    in
+    List.iter
+      (fun r ->
+        let label = Printf.sprintf "pktpath-b%d" r.r_batch in
+        let bar =
+          match Json.member "minor_words_per_packet" (Json.member label committed) with
+          | Json.Float w -> w
+          | Json.Int w -> float_of_int w
+          | _ | (exception Invalid_argument _) ->
+            failwith (Printf.sprintf "pktpath: %s has no %s row to gate against" file label)
+        in
+        let words = r.r_minor_words /. float_of_int packets in
+        let limit = bar *. (1.0 +. words_tolerance) in
+        if words > limit then
+          failwith
+            (Printf.sprintf
+               "pktpath: %s allocates %.1f minor words/pkt, above %.1f (committed %.1f + %.0f%%)"
+               label words limit bar (words_tolerance *. 100.0))
+        else
+          Util.row "  [gate] %s %.1f minor words/pkt <= %.1f (committed %.1f + %.0f%%)\n" label
+            words limit bar (words_tolerance *. 100.0))
+      results

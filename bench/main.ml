@@ -174,16 +174,19 @@ let () =
         exit 2
       | "--min-speedup" :: factor :: rest when float_of_string_opt factor <> None ->
         (match float_of_string_opt factor with
-        | Some s when s > 0.0 ->
-          (* The floor applies to whichever gated experiment runs. *)
-          Exp_pktpath.min_speedup := Some s;
-          Exp_statetable.min_speedup := Some s
+        | Some s when s > 0.0 -> Exp_statetable.min_speedup := Some s
         | _ ->
-          Printf.eprintf "usage: pktpath|statetable --min-speedup S (S > 0)\n";
+          Printf.eprintf "usage: statetable --min-speedup S (S > 0)\n";
           exit 2);
         strip rest
       | "--min-speedup" :: _ ->
-        Printf.eprintf "usage: pktpath|statetable --min-speedup S\n";
+        Printf.eprintf "usage: statetable --min-speedup S\n";
+        exit 2
+      | "--words-baseline" :: file :: rest when String.length file > 0 ->
+        Exp_pktpath.words_baseline := Some file;
+        strip rest
+      | "--words-baseline" :: _ ->
+        Printf.eprintf "usage: pktpath --words-baseline BENCH_micro.json\n";
         exit 2
       | "--min-events-per-sec" :: rate :: rest when float_of_string_opt rate <> None ->
         (match float_of_string_opt rate with

@@ -18,10 +18,12 @@
 #   4. sharded-scale smoke: the 8-shard engine on 4 domains at reduced
 #      flow count, with a modest absolute events/sec floor (the full
 #      10M-flow sweep is recorded in BENCH_micro.json, not rerun here)
-#   5. batch-path gate: the pktpath macro at batching factors 1 and 64
-#      must show the vectorized path at least 5x the scalar packet rate
-#      (the full 1/16/64/256 sweep is recorded in BENCH_micro.json, not
-#      rerun here)
+#   5. batch-path gate: the pktpath macro at batching factor 64 must
+#      allocate no more than 5% above the committed pktpath-b64 row's
+#      minor words/packet (deterministic for a build, so the bar can be
+#      tight; batched throughput is gated end to end by the repo
+#      benchmark's chain-batched workload; the full 1/16/64/256 sweep
+#      is recorded in BENCH_micro.json, not rerun here)
 #   5b. flow-state-core gate: the flat open-addressing table must beat
 #      the Hashtbl baseline by at least 1.3x on 1M-entry find hits (it
 #      measures ~3x when the machine is quiet; the floor catches a
@@ -45,6 +47,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 dune build bench/main.exe test/test_chaos.exe test/test_soak.exe
+repo="$PWD"
 bench="$PWD/_build/default/bench/main.exe"
 chaos="$PWD/_build/default/test/test_chaos.exe"
 soak="$PWD/_build/default/test/test_soak.exe"
@@ -60,7 +63,7 @@ trap 'rm -rf "$tmp"' EXIT
 # core that collapsed (orders of magnitude), not scheduler noise on a
 # loaded or single-core machine.
 (cd "$tmp" && "$bench" scale --flows 20000 --domains 4 --min-events-per-sec 50000)
-(cd "$tmp" && "$bench" pktpath --batch 1 --batch 64 --min-speedup 5)
+(cd "$tmp" && "$bench" pktpath --batch 64 --words-baseline "$repo/BENCH_micro.json")
 (cd "$tmp" && "$bench" statetable --min-speedup 1.3)
 (cd "$tmp" && "$bench" micro-telemetry --gate 5 --json --label micro-telemetry)
 (cd "$tmp" && "$bench" obs --gate 3)

@@ -208,6 +208,10 @@ let record t ~kind ~detail =
   | Some r -> Recorder.record r ~actor:"controller" ~kind ~detail
   | None -> ()
 
+(* Guard for records whose detail is formatted: without a recorder the
+   detail string is never built. *)
+let recording t = Option.is_some t.recorder
+
 (* Charge the (serial) controller CPU for a message of [bytes] bytes,
    then run [k].  Concurrent operations contend here, which is what
    makes simultaneous moves slow each other down (Fig. 10b). *)
@@ -274,10 +278,11 @@ let rec check_timeout t conn op po () =
       Telemetry.incr t.c_retries;
       Telemetry.instant t.tel ~now ~actor:"controller" ~name:"op-retry" ~op:po.po_tid
         ~a0:po.po_attempts ();
-      record t ~kind:"op-retry"
-        ~detail:
-          (Printf.sprintf "op=%d attempt=%d %s" op po.po_attempts
-             (Message.describe_request po.po_req));
+      if recording t then
+        record t ~kind:"op-retry"
+          ~detail:
+            (Printf.sprintf "op=%d attempt=%d %s" op po.po_attempts
+               (Message.describe_request po.po_req));
       transmit t conn op po.po_tid po.po_req;
       ignore
         (Engine.schedule_at t.engine
@@ -289,8 +294,9 @@ let rec check_timeout t conn op po () =
       Telemetry.incr t.c_timeouts;
       Telemetry.span_end t.tel ~now po.po_span;
       Telemetry.observe t.h_op Time.(to_seconds (now - po.po_started));
-      record t ~kind:"op-timeout"
-        ~detail:(Printf.sprintf "op=%d %s" op (Message.describe_request po.po_req));
+      if recording t then
+        record t ~kind:"op-timeout"
+          ~detail:(Printf.sprintf "op=%d %s" op (Message.describe_request po.po_req));
       ignore
         (po.po_handler
            (Message.Op_error (Errors.Timeout (Message.describe_request po.po_req))))
@@ -355,8 +361,9 @@ let forward_reprocess t transfer ev =
     | Some dst_conn ->
       transfer.events_fwd <- transfer.events_fwd + 1;
       Telemetry.incr t.c_evt_fwd;
-      record t ~kind:"event-fwd"
-        ~detail:(Printf.sprintf "%s->%s %s" transfer.src transfer.dst (Event.describe ev));
+      if recording t then
+        record t ~kind:"event-fwd"
+          ~detail:(Printf.sprintf "%s->%s %s" transfer.src transfer.dst (Event.describe ev));
       op_send_ignore t dst_conn (Message.Reprocess_packet { key; packet }))
   | Event.Introspect _ -> ()
 
@@ -718,8 +725,9 @@ let clone_config t ~src ~dst ~key ~on_done =
 
 let finalize_transfer t transfer =
   t.transfers <- List.filter (fun tr -> tr.t_id <> transfer.t_id) t.transfers;
-  record t ~kind:"transfer-final"
-    ~detail:(Printf.sprintf "#%d %s->%s" transfer.t_id transfer.src transfer.dst);
+  if recording t then
+    record t ~kind:"transfer-final"
+      ~detail:(Printf.sprintf "#%d %s->%s" transfer.t_id transfer.src transfer.dst);
   match transfer.kind with
   | T_move -> (
     (* Deferred delete of the moved state at the source (Fig. 5). *)
@@ -759,10 +767,11 @@ let maybe_return t transfer =
     let ids = Hashtbl.fold (fun id _ acc -> id :: acc) transfer.buffered [] in
     List.iter (flush_buffered t transfer) ids;
     transfer.last_event <- Engine.now t.engine;
-    record t ~kind:"transfer-done"
-      ~detail:
-        (Printf.sprintf "#%d %s->%s chunks=%d" transfer.t_id transfer.src transfer.dst
-           transfer.chunks);
+    if recording t then
+      record t ~kind:"transfer-done"
+        ~detail:
+          (Printf.sprintf "#%d %s->%s chunks=%d" transfer.t_id transfer.src transfer.dst
+             transfer.chunks);
     transfer.on_done
       (Ok
          {
@@ -810,10 +819,11 @@ let abort_transfer t transfer err =
       | T_clone | T_merge -> ());
     Hashtbl.reset transfer.buffered;
     transfer.buffered_count <- 0;
-    record t ~kind:"transfer-abort"
-      ~detail:
-        (Printf.sprintf "#%d %s->%s: %s" transfer.t_id transfer.src transfer.dst
-           (Errors.to_string err));
+    if recording t then
+      record t ~kind:"transfer-abort"
+        ~detail:
+          (Printf.sprintf "#%d %s->%s: %s" transfer.t_id transfer.src transfer.dst
+             (Errors.to_string err));
     let err =
       match err with
       | Errors.Move_aborted _ -> err
@@ -1069,10 +1079,11 @@ let start_transfer t ~kind ~src ~dst ~hfl ~gets ~on_done =
         in
         t.next_transfer <- t.next_transfer + 1;
         t.transfers <- transfer :: t.transfers;
-        record t ~kind:"transfer-start"
-          ~detail:
-            (Printf.sprintf "#%d %s %s->%s %s" transfer.t_id kind_name src dst
-               (Hfl.to_string hfl));
+        if recording t then
+          record t ~kind:"transfer-start"
+            ~detail:
+              (Printf.sprintf "#%d %s %s->%s %s" transfer.t_id kind_name src dst
+                 (Hfl.to_string hfl));
         (* Gets are retryable, and retransmission doubles as the stream's
            ARQ: the agent replays a completed op's cached replies under
            the same op number (re-delivering chunks lost on the reply

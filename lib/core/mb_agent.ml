@@ -63,6 +63,10 @@ let record t ~kind ~detail =
   | Some r -> Recorder.record r ~actor:t.impl.name ~kind ~detail
   | None -> ()
 
+(* Guard for records whose detail is formatted: without a recorder the
+   detail string is never built. *)
+let recording t = Option.is_some t.recorder
+
 let not_attached _ = failwith "Mb_agent: not attached to a controller"
 
 let create engine ?recorder ?telemetry ~impl () =
@@ -109,7 +113,7 @@ let create engine ?recorder ?telemetry ~impl () =
       if (not t.crashed) && Event.Filter.admits t.filter ev then begin
         t.events_raised <- t.events_raised + 1;
         Telemetry.incr t.c_events;
-        record t ~kind:"event-raise" ~detail:(Event.describe ev);
+        if recording t then record t ~kind:"event-raise" ~detail:(Event.describe ev);
         t.send_event (Message.Event_msg ev)
       end);
   t
@@ -225,8 +229,9 @@ let reply_result t op = function
 (* Execute a streaming get: linear scan, then serialize and send each
    matching chunk in turn, then the end-of-state marker carrying the
    chunk count. *)
-let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
-  record t ~kind:"get-start" ~detail:what;
+let handle_get t op ~what ~hfl (fetch : unit -> (Chunk.t list, Errors.t) result) =
+  if recording t then
+    record t ~kind:"get-start" ~detail:(what ^ " " ^ Openmb_net.Hfl.to_string hfl);
   exec t (scan_cost t) (fun () ->
       match fetch () with
       | Error e -> reply t op (Message.Op_error e)
@@ -239,7 +244,10 @@ let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
             exec t cost (fun () -> reply t op (Message.State_chunk chunk)))
           chunks;
         exec t Time.zero (fun () ->
-            record t ~kind:"get-end" ~detail:(Printf.sprintf "%s count=%d" what count);
+            if recording t then
+              record t ~kind:"get-end"
+                ~detail:
+                  (Printf.sprintf "%s %s count=%d" what (Openmb_net.Hfl.to_string hfl) count);
             reply t op (Message.End_of_state { count })))
 
 (* Shared-state gets return zero or one chunk and skip the scan. *)
@@ -249,14 +257,14 @@ let handle_get_shared t op ~what (fetch : unit -> (Chunk.t option, Errors.t) res
       match fetch () with
       | Error e -> reply t op (Message.Op_error e)
       | Ok None ->
-        record t ~kind:"get-end" ~detail:(what ^ " count=0");
+        if recording t then record t ~kind:"get-end" ~detail:(what ^ " count=0");
         reply t op (Message.End_of_state { count = 0 })
       | Ok (Some chunk) ->
         let cost = chunk_serialize_cost t.impl.cost chunk in
         Telemetry.observe t.h_serialize (Time.to_seconds cost);
         exec t cost (fun () ->
             reply t op (Message.State_chunk chunk);
-            record t ~kind:"get-end" ~detail:(what ^ " count=1");
+            if recording t then record t ~kind:"get-end" ~detail:(what ^ " count=1");
             reply t op (Message.End_of_state { count = 1 })))
 
 let handle_put t op ~what ~seq chunk (store : Chunk.t -> (unit, Errors.t) result) =
@@ -274,7 +282,7 @@ let handle_del t op (remove : unit -> (int, Errors.t) result) =
   exec t (scan_cost t) (fun () ->
       match remove () with
       | Ok n ->
-        record t ~kind:"del" ~detail:(Printf.sprintf "removed=%d" n);
+        if recording t then record t ~kind:"del" ~detail:(Printf.sprintf "removed=%d" n);
         reply t op Message.Ack
       | Error e -> reply t op (Message.Op_error e))
 
@@ -306,9 +314,7 @@ let execute t op req =
   | Message.Del_config path ->
     exec t config_op_cost (fun () -> reply_result t op (i.del_config path))
   | Message.Get_support_perflow hfl ->
-    handle_get t op
-      ~what:("support " ^ Openmb_net.Hfl.to_string hfl)
-      (fun () -> i.get_support_perflow hfl)
+    handle_get t op ~what:"support" ~hfl (fun () -> i.get_support_perflow hfl)
   | Message.Put_support_perflow { seq; chunk } ->
     handle_put t op ~what:"support" ~seq chunk i.put_support_perflow
   | Message.Del_support_perflow hfl ->
@@ -318,9 +324,7 @@ let execute t op req =
   | Message.Put_support_shared { seq; chunk } ->
     handle_put t op ~what:"support-shared" ~seq chunk i.put_support_shared
   | Message.Get_report_perflow hfl ->
-    handle_get t op
-      ~what:("report " ^ Openmb_net.Hfl.to_string hfl)
-      (fun () -> i.get_report_perflow hfl)
+    handle_get t op ~what:"report" ~hfl (fun () -> i.get_report_perflow hfl)
   | Message.Put_report_perflow { seq; chunk } ->
     handle_put t op ~what:"report" ~seq chunk i.put_report_perflow
   | Message.Del_report_perflow hfl ->
@@ -360,14 +364,16 @@ let execute t op req =
             | Error e -> errors := (idx, e) :: !errors)
           chunks;
         let errors = List.rev !errors in
-        record t ~kind:"put-batch"
-          ~detail:(Printf.sprintf "n=%d errors=%d" count (List.length errors));
+        if recording t then
+          record t ~kind:"put-batch"
+            ~detail:(Printf.sprintf "n=%d errors=%d" count (List.length errors));
         let r = Message.Batch_ack { seq; count; errors } in
         ft_replace t.applied_seq seq r;
         reply t op r)
   | Message.Abort_perflow hfl ->
     exec t config_op_cost (fun () ->
-        record t ~kind:"abort-perflow" ~detail:(Openmb_net.Hfl.to_string hfl);
+        if recording t then
+          record t ~kind:"abort-perflow" ~detail:(Openmb_net.Hfl.to_string hfl);
         i.abort_perflow hfl;
         reply t op Message.Ack)
   | Message.Reprocess_packet { key; packet } ->
@@ -375,21 +381,24 @@ let execute t op req =
        side-effects (§4.2.1).  It rides the MB's packet path, not the
        control thread, so no control CPU is charged here; the ack lets
        the controller's retry machinery know the event landed. *)
-    record t ~kind:"event-proc"
-      ~detail:
-        (Printf.sprintf "%s %s" (Openmb_net.Hfl.to_string key)
-           (Openmb_net.Packet.flow_label packet));
+    if recording t then
+      record t ~kind:"event-proc"
+        ~detail:
+          (Printf.sprintf "%s %s" (Openmb_net.Hfl.to_string key)
+             (Openmb_net.Packet.flow_label packet));
     i.process_packet packet ~side_effects:false;
     reply t op Message.Ack
 
 let handle_request t { Message.op; tid; req } =
   if t.crashed then
-    record t ~kind:"drop" ~detail:("crashed: " ^ Message.describe_request req)
+    (if recording t then
+       record t ~kind:"drop" ~detail:("crashed: " ^ Message.describe_request req))
   else if op asr 40 < t.ctrl_epoch then
     (* Fenced-out straggler from a deposed leader (see [ctrl_epoch]);
        its issuer is already silenced, so no reply is owed either. *)
-    record t ~kind:"drop"
-      ~detail:(Printf.sprintf "stale epoch op=%d: %s" op (Message.describe_request req))
+    (if recording t then
+       record t ~kind:"drop"
+         ~detail:(Printf.sprintf "stale epoch op=%d: %s" op (Message.describe_request req)))
   else begin
     if op asr 40 > t.ctrl_epoch then t.ctrl_epoch <- op asr 40;
     t.ops_handled <- t.ops_handled + 1;
@@ -407,7 +416,7 @@ let handle_request t { Message.op; tid; req } =
          replay the recorded outcome under the incoming op id without
          touching state. *)
       Telemetry.incr t.c_dedup;
-      record t ~kind:"dedup" ~detail:(Printf.sprintf "seq=%d" seq);
+      if recording t then record t ~kind:"dedup" ~detail:(Printf.sprintf "seq=%d" seq);
       exec t Time.zero (fun () -> send_reply_raw t op r)
     | None -> (
       (* One probe decides all three op-id cases: unseen (entry absent),
@@ -416,9 +425,10 @@ let handle_request t { Message.op; tid; req } =
       match ft_find t.ops op with
       | Some (_ :: _ as replies) ->
         Telemetry.incr t.c_dedup;
-        record t ~kind:"dedup" ~detail:(Printf.sprintf "op=%d" op);
+        if recording t then record t ~kind:"dedup" ~detail:(Printf.sprintf "op=%d" op);
         exec t Time.zero (fun () -> List.iter (send_reply_raw t op) (List.rev replies))
-      | Some [] -> record t ~kind:"dedup-drop" ~detail:(Printf.sprintf "op=%d" op)
+      | Some [] ->
+        if recording t then record t ~kind:"dedup-drop" ~detail:(Printf.sprintf "op=%d" op)
       | None ->
         ft_replace t.ops op [];
         begin_op_span t op tid req;

@@ -79,6 +79,8 @@ let pick_backend t (p : Packet.t) =
     let h = Five_tuple.hash_words ~pa:(Five_tuple.word_a_packet p) ~pb:0 in
     t.backends.(h mod Array.length t.backends)
 
+let assignment_info backend = Json.Assoc [ ("backend", Json.String (Addr.to_string backend)) ]
+
 let process t (p : Packet.t) ~side_effects =
   let entry, created =
     State_table.find_or_create_words t.table ~pa:(Five_tuple.word_a_packet p)
@@ -87,13 +89,8 @@ let process t (p : Packet.t) ~side_effects =
       ~default:(fun () -> pick_backend t p)
   in
   if created && side_effects then
-    Mb_base.raise_event t.base
-      (Event.Introspect
-         {
-           code = "lb.new_assignment";
-           key = entry.key;
-           info = Json.Assoc [ ("backend", Json.String (Addr.to_string entry.value)) ];
-         });
+    Mb_base.introspect t.base ~code:"lb.new_assignment" ~key:entry.key assignment_info
+      entry.value;
   if entry.moved then
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
   if side_effects then Some { p with dst_ip = entry.value } else None

@@ -8,7 +8,7 @@ type t = {
   kind : string;
   cost : Southbound.cost_model;
   config : Config_tree.t;
-  mutable event_sink : Event.t -> unit;
+  mutable event_sink : (Event.t -> unit) option;
   mutable egress : (Openmb_net.Packet.t -> unit) option;
   mutable egress_batch : (Openmb_net.Packet_batch.t -> unit) option;
   mutable op_active : bool;
@@ -37,7 +37,7 @@ let create engine ?recorder ?telemetry ~name ~kind ~cost () =
     kind;
     cost;
     config = Config_tree.create ();
-    event_sink = (fun _ -> ());
+    event_sink = None;
     egress = None;
     egress_batch = None;
     op_active = false;
@@ -88,7 +88,16 @@ let forward_batch t b =
       match t.egress with
       | Some f -> Openmb_net.Packet_batch.drain b f
       | None -> Openmb_net.Packet_batch.release b)
-let raise_event t ev = t.event_sink ev
+let raise_event t ev = match t.event_sink with Some sink -> sink ev | None -> ()
+
+(* Absent observers cost nothing: the event and its JSON info are only
+   built once a sink is attached.  [info] is a top-level function
+   applied to [x] here, so the caller allocates no closure either. *)
+let introspect t ~code ~key info x =
+  match t.event_sink with
+  | Some sink -> sink (Event.Introspect { code; key; info = info x })
+  | None -> ()
+
 let set_op_active t b = t.op_active <- b
 let op_active t = t.op_active
 
@@ -96,6 +105,8 @@ let record t ~kind ~detail =
   match t.recorder with
   | Some r -> Recorder.record r ~actor:t.name ~kind ~detail
   | None -> ()
+
+let recording t = Option.is_some t.recorder
 
 let inject t p ~side_effects ~work =
   let arrival = Engine.now t.engine in
@@ -115,7 +126,7 @@ let inject t p ~side_effects ~work =
       Stats.add t.latency lat;
       Telemetry.observe t.h_pkt lat;
       if during_op then Stats.add t.latency_during_op lat;
-      if side_effects then
+      if side_effects && recording t then
         record t ~kind:"pkt" ~detail:(Openmb_net.Packet.flow_label p);
       work p)
     ()
@@ -147,7 +158,8 @@ let inject_batch t b ~side_effects ~work =
         Telemetry.observe_n t.h_pkt lat ~n;
         Telemetry.observe_count t.h_occ n;
         if during_op then Stats.add_n t.latency_during_op lat ~n;
-        if side_effects then record t ~kind:"pktbatch" ~detail:(string_of_int n);
+        if side_effects && recording t then
+          record t ~kind:"pktbatch" ~detail:(string_of_int n);
         work b)
       ()
   end
@@ -243,6 +255,6 @@ let default_impl t ~table_entries : Southbound.impl =
     on_crash = (fun () -> ());
     stats = (fun _ -> Southbound.empty_stats);
     process_packet = (fun _ ~side_effects:_ -> ());
-    set_event_sink = (fun sink -> t.event_sink <- sink);
+    set_event_sink = (fun sink -> t.event_sink <- Some sink);
     set_op_active = set_op_active t;
   }

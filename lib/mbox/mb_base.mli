@@ -45,6 +45,13 @@ val forward_batch : t -> Openmb_net.Packet_batch.t -> unit
 val raise_event : t -> Openmb_core.Event.t -> unit
 (** Send an event up to the agent (no-op before an agent attaches). *)
 
+val introspect :
+  t -> code:string -> key:Openmb_net.Hfl.t -> ('a -> Openmb_wire.Json.t) -> 'a -> unit
+(** [introspect t ~code ~key info x] raises
+    [Introspect { code; key; info = info x }].  Before an event sink is
+    attached nothing is built: neither the event nor its JSON info.
+    Pass a top-level [info] so the call allocates no closure. *)
+
 val set_op_active : t -> bool -> unit
 (** Called by the agent while southbound ops execute; the packet path
     then applies [cost.op_slowdown]. *)
@@ -60,8 +67,9 @@ val inject :
 (** Run [work] on the packet after data-path queueing and the modelled
     per-packet processing cost.  [work] performs the MB's state updates
     and (only when [side_effects] is true) any forwarding/alerting.
-    Records per-packet latency including queueing, and the ["pkt"]
-    timeline entry. *)
+    Records per-packet latency including queueing and, with a recorder
+    attached, the ["pkt"] timeline entry (detail
+    {!Openmb_net.Packet.flow_label}). *)
 
 val inject_batch :
   t ->
@@ -110,7 +118,13 @@ val latency_during_op_stats : t -> Openmb_sim.Stats.t
 val packets_processed : t -> int
 
 val record : t -> kind:string -> detail:string -> unit
-(** Log a timeline entry under this MB's name. *)
+(** Log a timeline entry under this MB's name (no-op without a
+    recorder). *)
+
+val recording : t -> bool
+(** Whether a recorder is attached.  Guard a [record] whose detail must
+    be formatted with it, so that without a recorder the detail is never
+    built: [if recording t then record t ~kind ~detail:(...)]. *)
 
 (** {1 Chunk helpers} *)
 

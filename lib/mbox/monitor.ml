@@ -70,6 +70,8 @@ let service_of_known known port =
     | 25 -> "smtp"
     | _ -> "tcp-" ^ string_of_int port
 
+let asset_info service = Json.Assoc [ ("service", Json.String service) ]
+
 (* Per-flow record update for one packet.  [known] supplies the service
    port list — the scalar path reads the config tree on demand (only
    first packets of a flow classify), the batch path hoists one read per
@@ -101,13 +103,7 @@ let touch t (p : Packet.t) ~known ~side_effects =
       fr_service = service;
     };
   if newly_detected && side_effects then
-    Mb_base.raise_event t.base
-      (Event.Introspect
-         {
-           code = "monitor.new_asset";
-           key = entry.key;
-           info = Json.Assoc [ ("service", Json.String service) ];
-         });
+    Mb_base.introspect t.base ~code:"monitor.new_asset" ~key:entry.key asset_info service;
   if entry.moved then
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
   (created, body)

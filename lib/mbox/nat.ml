@@ -102,6 +102,15 @@ let allocate_external t =
 
 let is_outbound t (p : Packet.t) = Addr.in_prefix p.src_ip t.internal_prefix
 
+let mapping_info m =
+  Json.Assoc
+    [
+      ("int_ip", Json.String (Addr.to_string m.m_int_ip));
+      ("int_port", Json.Int m.m_int_port);
+      ("ext_port", Json.Int m.m_ext_port);
+      ("proto", Json.String (Packet.proto_to_string m.m_proto));
+    ]
+
 let process t (p : Packet.t) ~side_effects =
   let ts = Time.to_seconds p.ts in
   if is_outbound t p then begin
@@ -124,20 +133,8 @@ let process t (p : Packet.t) ~side_effects =
     if created then begin
       ext_set t entry.value.m_ext_ip entry.value.m_ext_port entry.key;
       if side_effects then
-        Mb_base.raise_event t.base
-          (Event.Introspect
-             {
-               code = "nat.new_mapping";
-               key = entry.key;
-               info =
-                 Json.Assoc
-                   [
-                     ("int_ip", Json.String (Addr.to_string entry.value.m_int_ip));
-                     ("int_port", Json.Int entry.value.m_int_port);
-                     ("ext_port", Json.Int entry.value.m_ext_port);
-                     ("proto", Json.String (Packet.proto_to_string entry.value.m_proto));
-                   ];
-             })
+        Mb_base.introspect t.base ~code:"nat.new_mapping" ~key:entry.key mapping_info
+          entry.value
     end;
     entry.value <- { entry.value with m_last_active = ts };
     if entry.moved then

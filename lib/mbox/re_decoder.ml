@@ -157,8 +157,9 @@ let decode t (p : Packet.t) ~side_effects =
     else begin
       t.failed_pkts <- t.failed_pkts + 1;
       t.undecodable_bytes <- t.undecodable_bytes + shim_bytes;
-      Mb_base.record t.base ~kind:"undecodable"
-        ~detail:(Printf.sprintf "%dB of shims (cache %d)" shim_bytes cache_id);
+      if Mb_base.recording t.base then
+        Mb_base.record t.base ~kind:"undecodable"
+          ~detail:(Printf.sprintf "%dB of shims (cache %d)" shim_bytes cache_id);
       None
     end
 

@@ -28,6 +28,7 @@ type t = {
   w : Wheel.t;
   mutable tombstones : int;
   mutable executed : int;
+  mutable observer_events : int;
   (* "engine.events" when created with a telemetry instance, the shared
      null sink otherwise — dispatch stays branch-free either way. *)
   ev : Telemetry.counter;
@@ -53,6 +54,7 @@ let create ?slot_us ?telemetry () =
     w = Wheel.create ?slot_us ();
     tombstones = 0;
     executed = 0;
+    observer_events = 0;
     ev =
       (match telemetry with
       | Some tel -> Telemetry.counter tel "engine.events"
@@ -121,6 +123,8 @@ let is_cancelled h = h.hc
 let pending t = Wheel.size t.w - t.tombstones
 
 let executed t = t.executed
+let note_observer t = t.observer_events <- t.observer_events + 1
+let observer_events t = t.observer_events
 
 let pool_stats t =
   let capacity = Wheel.capacity t.w in

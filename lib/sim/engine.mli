@@ -85,6 +85,17 @@ val executed : t -> int
 (** Total events dispatched since [create] (cancelled events are
     discarded, not dispatched). *)
 
+val note_observer : t -> unit
+(** Mark the event being dispatched as an observer's (a scrape tick):
+    one that only reads simulation state.  It still counts in
+    {!executed}. *)
+
+val observer_events : t -> int
+(** Events marked with {!note_observer} since [create].  The sharded
+    engine's idle-epoch detection subtracts them, so attaching an
+    observer leaves the epoch grid, and with it virtual time, as it
+    was. *)
+
 val pool_stats : t -> pool_stats
 (** Event-cell pool occupancy; [capacity = free + queued] always. *)
 

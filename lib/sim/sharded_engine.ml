@@ -17,7 +17,8 @@
    - The epoch grid itself is domain-independent: horizons are
      epoch * k for integer k, and the idle-skip stride evolves as a
      function of (events executed, messages moved) per round — both
-     deterministic quantities.
+     deterministic quantities.  Observer events (scrape ticks) are left
+     out of the count, so a scraper does not change the grid.
 
    Hence the run's outcome is a function of (shards, seed, epoch,
    workload) only; [domains] changes wall-clock time, never results.
@@ -74,6 +75,17 @@ let owner_of_hash t h =
   (h land max_int) mod n
 
 let executed t = Array.fold_left (fun acc s -> acc + Engine.executed (Shard.engine s)) 0 t.sh
+
+(* Events that can change simulation state: observer events (scrape
+   ticks) must not keep an epoch from counting as idle, or attaching a
+   scraper would change the stride, the horizons, and so the clamped
+   delivery times of cross-shard messages. *)
+let app_executed t =
+  Array.fold_left
+    (fun acc s ->
+      let e = Shard.engine s in
+      acc + Engine.executed e - Engine.observer_events e)
+    0 t.sh
 let pending t = Array.fold_left (fun acc s -> acc + Engine.pending (Shard.engine s)) 0 t.sh
 let exchanged t = t.moved_total
 let epochs t = t.rounds
@@ -196,7 +208,7 @@ let run ?until t =
     end
   in
   let body () =
-    t.last_exec <- executed t;
+    t.last_exec <- app_executed t;
     let stride = ref 1 in
     let continue_ = ref (pending t > 0) in
     while !continue_ do
@@ -209,7 +221,7 @@ let run ?until t =
       run_all horizon;
       let moved = exchange t ~horizon in
       t.rounds <- t.rounds + 1;
-      let exec = executed t in
+      let exec = app_executed t in
       let idle = moved = 0 && exec = t.last_exec in
       t.last_exec <- exec;
       if at_limit then

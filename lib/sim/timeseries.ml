@@ -171,6 +171,7 @@ let sample t =
      loop forever — stop instead;
    - a bounded scraper stops past [until]. *)
 let rec tick t =
+  Engine.note_observer t.eng;
   if t.running then begin
     sample t;
     let now = Engine.now t.eng in

@@ -875,6 +875,25 @@ let test_nat_introspection_event () =
     Alcotest.(check bool) "carries the external port" true (Json.mem "ext_port" info)
   | _ -> Alcotest.fail "expected one introspection event"
 
+(* The sink is consulted per event, not fixed at creation: mappings made
+   before it attaches stay silent, later ones are announced. *)
+let test_nat_introspection_late_sink () =
+  let engine = Engine.create () in
+  let nat = make_nat engine in
+  Mb_base.set_egress (Nat.base nat) (fun _ -> ());
+  Nat.receive nat (mk_packet ~id:1 ~sport:1000 ());
+  run_all engine;
+  let events = ref [] in
+  (Nat.impl nat).Southbound.set_event_sink (fun ev -> events := ev :: !events);
+  Nat.receive nat (mk_packet ~id:2 ~sport:1000 ());
+  Nat.receive nat (mk_packet ~id:3 ~sport:2000 ());
+  run_all engine;
+  match !events with
+  | [ Event.Introspect { code; info; _ } ] ->
+    Alcotest.(check string) "mapping event" "nat.new_mapping" code;
+    Alcotest.(check int) "for the new flow only" 2000 (Json.get_int (Json.member "int_port" info))
+  | _ -> Alcotest.fail "expected one introspection event, for the flow after the sink"
+
 let test_nat_granularity () =
   let engine = Engine.create () in
   let nat = make_nat engine in
@@ -935,6 +954,30 @@ let test_nat_static_mapping_restore () =
 (* ------------------------------------------------------------------ *)
 
 let backends = [ Addr.of_string "10.9.0.1"; Addr.of_string "10.9.0.2" ]
+
+let test_lb_assignment_event () =
+  let engine = Engine.create () in
+  let lb = Load_balancer.create engine ~backends ~name:"lb1" () in
+  let events = ref [] in
+  (Load_balancer.impl lb).Southbound.set_event_sink (fun ev -> events := ev :: !events);
+  let out = ref [] in
+  Mb_base.set_egress (Load_balancer.base lb) (fun p -> out := p :: !out);
+  Load_balancer.receive lb (mk_packet ~id:1 ~sport:1000 ());
+  Load_balancer.receive lb (mk_packet ~id:2 ~sport:2000 ());
+  Load_balancer.receive lb (mk_packet ~id:3 ~sport:1000 ());
+  run_all engine;
+  let backend_of = function
+    | Event.Introspect { code = "lb.new_assignment"; info; _ } ->
+      Json.get_string (Json.member "backend" info)
+    | ev -> Alcotest.failf "unexpected event %s" (Event.describe ev)
+  in
+  match (List.rev !events, List.rev !out) with
+  | [ e1; e2 ], [ p1; p2; _ ] ->
+    Alcotest.(check string) "first flow's backend" (Addr.to_string p1.Packet.dst_ip)
+      (backend_of e1);
+    Alcotest.(check string) "second flow's backend" (Addr.to_string p2.Packet.dst_ip)
+      (backend_of e2)
+  | _ -> Alcotest.fail "expected one assignment event per new flow"
 
 let test_lb_round_robin_sticky () =
   let engine = Engine.create () in
@@ -1087,6 +1130,63 @@ let test_firewall_verdict_move () =
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Absent observers                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A scalar NAT -> monitor chain; returns the NAT and the monitor's
+   egress log (newest first). *)
+let observer_chain ?recorder engine =
+  let nat =
+    Nat.create engine ?recorder ~name:"nat1" ~external_ip:(Addr.of_string "5.5.5.5")
+      ~internal_prefix:(Addr.prefix_of_string "10.0.0.0/8") ()
+  in
+  let mon = Monitor.create engine ?recorder ~name:"prads1" () in
+  let out = ref [] in
+  Mb_base.set_egress (Nat.base nat) (Monitor.receive mon);
+  Mb_base.set_egress (Monitor.base mon) (fun p -> out := p :: !out);
+  (nat, out)
+
+(* Fresh three-packet flows: every flow creates a NAT mapping and a
+   monitor asset. *)
+let fresh_flows ~flows =
+  Array.init (3 * flows) (fun i ->
+      mk_packet ~id:i ~ts:(float_of_int i *. 1e-6) ~sport:(1024 + (i / 3)) ())
+
+(* With no recorder and no agent the scalar path must not format
+   timeline details or build introspection payloads.  Building them
+   anyway took this chain from about 200 to about 800 minor words/pkt. *)
+let test_absent_observers_allocation () =
+  let engine = Engine.create () in
+  let nat, out = observer_chain engine in
+  let pkts = fresh_flows ~flows:2_000 in
+  let w0 = Gc.minor_words () in
+  Array.iter (Nat.receive nat) pkts;
+  run_all engine;
+  let per_pkt = (Gc.minor_words () -. w0) /. float_of_int (Array.length pkts) in
+  Alcotest.(check int) "all delivered" (Array.length pkts) (List.length !out);
+  if per_pkt > 300.0 then
+    Alcotest.failf "%.0f minor words/pkt with no observer attached (bound 300)" per_pkt
+
+(* With a recorder attached, each MB logs exactly one "pkt" entry per
+   packet, labelled with the flow as that MB saw it. *)
+let test_recorder_pkt_entries () =
+  let engine = Engine.create () in
+  let recorder = Recorder.create engine in
+  let nat, out = observer_chain ~recorder engine in
+  let pkts = fresh_flows ~flows:20 in
+  Array.iter (Nat.receive nat) pkts;
+  run_all engine;
+  let details actor =
+    List.map (fun e -> e.Recorder.detail) (Recorder.filter ~actor ~kind:"pkt" recorder)
+  in
+  Alcotest.(check (list string)) "one nat entry per packet"
+    (Array.to_list (Array.map Packet.flow_label pkts))
+    (details "nat1");
+  Alcotest.(check (list string)) "one monitor entry per translated packet"
+    (List.rev_map Packet.flow_label !out)
+    (details "prads1")
+
 let () =
   Alcotest.run "openmb_mbox"
     [
@@ -1111,6 +1211,9 @@ let () =
           Alcotest.test_case "queueing latency" `Quick test_mb_base_queueing_latency;
           Alcotest.test_case "op slowdown" `Quick test_mb_base_op_slowdown;
           Alcotest.test_case "seal roundtrip" `Quick test_mb_base_seal_roundtrip;
+          Alcotest.test_case "absent observers allocate nothing" `Quick
+            test_absent_observers_allocation;
+          Alcotest.test_case "recorder pkt entries" `Quick test_recorder_pkt_entries;
         ] );
       ( "ids",
         [
@@ -1161,6 +1264,8 @@ let () =
           Alcotest.test_case "translation roundtrip" `Quick test_nat_translation_roundtrip;
           Alcotest.test_case "unknown inbound dropped" `Quick test_nat_unknown_inbound_dropped;
           Alcotest.test_case "introspection event" `Quick test_nat_introspection_event;
+          Alcotest.test_case "introspection after late sink" `Quick
+            test_nat_introspection_late_sink;
           Alcotest.test_case "granularity" `Quick test_nat_granularity;
           Alcotest.test_case "move preserves mapping" `Quick test_nat_move_preserves_mapping;
           Alcotest.test_case "static mapping restore" `Quick test_nat_static_mapping_restore;
@@ -1168,6 +1273,7 @@ let () =
       ( "load_balancer",
         [
           Alcotest.test_case "round robin sticky" `Quick test_lb_round_robin_sticky;
+          Alcotest.test_case "assignment event" `Quick test_lb_assignment_event;
           Alcotest.test_case "granularity rejects 5-tuple" `Quick
             test_lb_granularity_rejects_five_tuple;
           Alcotest.test_case "move keeps backend" `Quick test_lb_move_keeps_backend;

@@ -112,16 +112,24 @@ type transfer = {
   mutable chunks : int;
   mutable bytes : int;
   mutable events_fwd : int;
-  acked : (string, unit) Hashtbl.t;
-  putting : (string, int) Hashtbl.t;
+  (* Per-key tables are keyed by the HFL value ({!Hfl.Tbl}): the same
+     pairing of keys as their [to_string] forms, without formatting a
+     key per chunk, ack or event. *)
+  acked : unit Hfl.Tbl.t;
+  putting : int Hfl.Tbl.t;
       (* Outstanding put count per key: a flow with both a supporting
          and a reporting chunk is only [acked] — and its buffered
          events only flushed — once every chunk under the key has been
          acknowledged. *)
-  buffered : (string, Event.t Queue.t) Hashtbl.t;
+  buffered : (int * Event.t) Queue.t Hfl.Tbl.t;
+      (* Per-key FIFO of held events, each stamped with its position in
+         the transfer's buffering order ([buffer_seq]) so that events
+         still held when the transfer ends replay across keys in the
+         order they were raised, not in hash-bucket order. *)
   mutable buffered_count : int;
+  mutable buffer_seq : int;
   mutable last_event : Time.t;
-  put_started : (string, Time.t) Hashtbl.t;
+  put_started : Time.t Hfl.Tbl.t;
       (* First time a chunk for the key was received from the get
          stream; the gap to the key's completing ack is the per-flow
          serialization window (the paper's Fig. 7 metric). *)
@@ -344,11 +352,13 @@ let fail_async t err on_done =
 (* Event handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let shared_key_id = ""
+(* Shared state, and every key of a clone/merge, is tracked under the
+   empty key. *)
+let shared_key_id = Hfl.any
 
 let transfer_key_id transfer key =
   match transfer.kind with
-  | T_move -> Hfl.to_string key
+  | T_move -> key
   | T_clone | T_merge -> shared_key_id
 
 let forward_reprocess t transfer ev =
@@ -370,14 +380,15 @@ let forward_reprocess t transfer ev =
 let buffer_event t transfer key ev =
   let id = transfer_key_id transfer key in
   let q =
-    match Hashtbl.find_opt transfer.buffered id with
+    match Hfl.Tbl.find_opt transfer.buffered id with
     | Some q -> q
     | None ->
       let q = Queue.create () in
-      Hashtbl.replace transfer.buffered id q;
+      Hfl.Tbl.replace transfer.buffered id q;
       q
   in
-  Queue.push ev q;
+  Queue.push (transfer.buffer_seq, ev) q;
+  transfer.buffer_seq <- transfer.buffer_seq + 1;
   transfer.buffered_count <- transfer.buffered_count + 1;
   let total =
     List.fold_left (fun acc tr -> acc + tr.buffered_count) 0 t.transfers
@@ -385,15 +396,27 @@ let buffer_event t transfer key ev =
   Telemetry.set_gauge t.g_buf total
 
 let flush_buffered t transfer id =
-  match Hashtbl.find_opt transfer.buffered id with
+  match Hfl.Tbl.find_opt transfer.buffered id with
   | None -> ()
   | Some q ->
-    Hashtbl.remove transfer.buffered id;
+    Hfl.Tbl.remove transfer.buffered id;
     Queue.iter
-      (fun ev ->
+      (fun (_, ev) ->
         transfer.buffered_count <- transfer.buffered_count - 1;
         forward_reprocess t transfer ev)
       q
+
+(* Empty the buffer and return every held event, across keys, in the
+   order it was buffered. *)
+let take_buffered transfer =
+  let held =
+    Hfl.Tbl.fold
+      (fun _ q acc -> Queue.fold (fun acc e -> e :: acc) acc q)
+      transfer.buffered []
+  in
+  Hfl.Tbl.reset transfer.buffered;
+  transfer.buffered_count <- 0;
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) held)
 
 let handle_reprocess_event t src_name ev key =
   (* Route to the transfer whose source raised it and whose scope
@@ -429,8 +452,8 @@ let handle_reprocess_event t src_name ev key =
        export stream has ended without a chunk for this key — the flow
        started mid-move and exists only through its replayed packets. *)
     let ready =
-      Hashtbl.mem transfer.acked id
-      || (transfer.open_gets = 0 && not (Hashtbl.mem transfer.putting id))
+      Hfl.Tbl.mem transfer.acked id
+      || (transfer.open_gets = 0 && not (Hfl.Tbl.mem transfer.putting id))
     in
     if ready then forward_reprocess t transfer ev else buffer_event t transfer key ev
 
@@ -762,10 +785,11 @@ let maybe_return t transfer =
     Telemetry.observe t.h_transfer
       Time.(to_seconds (Engine.now t.engine - transfer.started));
     (* Any still-buffered events belong to flows that started mid-move
-       (no chunk was ever exported for them): replay them now, in
-       order — the destination rebuilds their state from scratch. *)
-    let ids = Hashtbl.fold (fun id _ acc -> id :: acc) transfer.buffered [] in
-    List.iter (flush_buffered t transfer) ids;
+       (no chunk was ever exported for them): replay them now, in the
+       order they were raised — the destination rebuilds their state
+       from scratch, and state such as NAT port allocation depends on
+       that order. *)
+    List.iter (forward_reprocess t transfer) (take_buffered transfer);
     transfer.last_event <- Engine.now t.engine;
     if recording t then
       record t ~kind:"transfer-done"
@@ -797,28 +821,21 @@ let abort_transfer t transfer err =
     t.transfers <- List.filter (fun tr -> tr.t_id <> transfer.t_id) t.transfers;
     Telemetry.incr t.c_aborted;
     Telemetry.span_end t.tel ~now:(Engine.now t.engine) transfer.t_span;
+    let held = take_buffered transfer in
     (match find_conn t transfer.src with
-    | None ->
-      Hashtbl.iter
-        (fun _ q -> Telemetry.add t.c_evt_dropped (Queue.length q))
-        transfer.buffered
+    | None -> Telemetry.add t.c_evt_dropped (List.length held)
     | Some src_conn ->
-      Hashtbl.iter
-        (fun _ q ->
-          Queue.iter
-            (fun ev ->
-              match ev with
-              | Event.Reprocess { key; packet } ->
-                Telemetry.incr t.c_evt_returned;
-                op_send_ignore t src_conn (Message.Reprocess_packet { key; packet })
-              | Event.Introspect _ -> ())
-            q)
-        transfer.buffered;
+      List.iter
+        (fun ev ->
+          match ev with
+          | Event.Reprocess { key; packet } ->
+            Telemetry.incr t.c_evt_returned;
+            op_send_ignore t src_conn (Message.Reprocess_packet { key; packet })
+          | Event.Introspect _ -> ())
+        held;
       match transfer.kind with
       | T_move -> op_send_ignore t src_conn (Message.Abort_perflow transfer.hfl)
       | T_clone | T_merge -> ());
-    Hashtbl.reset transfer.buffered;
-    transfer.buffered_count <- 0;
     if recording t then
       record t ~kind:"transfer-abort"
         ~detail:
@@ -834,7 +851,7 @@ let abort_transfer t transfer err =
 
 let chunk_key_id (chunk : Chunk.t) =
   match chunk.partition with
-  | Taxonomy.Per_flow -> Hfl.to_string chunk.key
+  | Taxonomy.Per_flow -> chunk.key
   | Taxonomy.Shared -> shared_key_id
 
 (* Track a chunk the moment it is received from the get stream: it is
@@ -845,10 +862,10 @@ let track_chunk t transfer (chunk : Chunk.t) =
   transfer.chunks <- transfer.chunks + 1;
   transfer.bytes <- transfer.bytes + Chunk.size_bytes chunk;
   let id = chunk_key_id chunk in
-  if not (Hashtbl.mem transfer.put_started id) then
-    Hashtbl.replace transfer.put_started id (Engine.now t.engine);
-  let n = try Hashtbl.find transfer.putting id with Not_found -> 0 in
-  Hashtbl.replace transfer.putting id (n + 1)
+  if not (Hfl.Tbl.mem transfer.put_started id) then
+    Hfl.Tbl.replace transfer.put_started id (Engine.now t.engine);
+  let n = try Hfl.Tbl.find transfer.putting id with Not_found -> 0 in
+  Hfl.Tbl.replace transfer.putting id (n + 1)
 
 (* The per-key bookkeeping one acknowledged chunk performs; the batched
    path runs it once per chunk, in batch order, so reprocess-event
@@ -859,20 +876,20 @@ let track_chunk t transfer (chunk : Chunk.t) =
    half its state landed. *)
 let ack_chunk t transfer key_id =
   transfer.pending_puts <- transfer.pending_puts - 1;
-  let n = try Hashtbl.find transfer.putting key_id with Not_found -> 1 in
+  let n = try Hfl.Tbl.find transfer.putting key_id with Not_found -> 1 in
   if n <= 1 then begin
-    Hashtbl.remove transfer.putting key_id;
-    Hashtbl.replace transfer.acked key_id ();
+    Hfl.Tbl.remove transfer.putting key_id;
+    Hfl.Tbl.replace transfer.acked key_id ();
     (* Every chunk under the key is installed: the key's serialization
        window — first export to last ack — closes here. *)
-    (match Hashtbl.find_opt transfer.put_started key_id with
+    (match Hfl.Tbl.find_opt transfer.put_started key_id with
     | Some started ->
-      Hashtbl.remove transfer.put_started key_id;
+      Hfl.Tbl.remove transfer.put_started key_id;
       Telemetry.observe t.h_serial Time.(to_seconds (Engine.now t.engine - started))
     | None -> ());
     flush_buffered t transfer key_id
   end
-  else Hashtbl.replace transfer.putting key_id (n - 1)
+  else Hfl.Tbl.replace transfer.putting key_id (n - 1)
 
 (* Issue a put for a streamed chunk and track its acknowledgement —
    the legacy one-message-per-chunk path, kept for [batch_chunks <= 1]
@@ -980,7 +997,7 @@ let enqueue_chunk t transfer dst_conn chunk =
    actually received — a missing chunk keeps the op open until its
    timeout aborts the transfer. *)
 let get_stream_handler t transfer dst_conn =
-  let seen = Hashtbl.create 16 in
+  let seen = Hfl.Tbl.create 16 in
   let received = ref 0 in
   let announced = ref (-1) in
   let close () =
@@ -994,9 +1011,9 @@ let get_stream_handler t transfer dst_conn =
       match reply with
       | Message.State_chunk chunk ->
         let id = chunk_key_id chunk in
-        if Hashtbl.mem seen id then `Keep
+        if Hfl.Tbl.mem seen id then `Keep
         else begin
-          Hashtbl.replace seen id ();
+          Hfl.Tbl.replace seen id ();
           incr received;
           if t.cfg.batch_chunks <= 1 then issue_put t transfer dst_conn chunk
           else enqueue_chunk t transfer dst_conn chunk;
@@ -1068,12 +1085,13 @@ let start_transfer t ~kind ~src ~dst ~hfl ~gets ~on_done =
             chunks = 0;
             bytes = 0;
             events_fwd = 0;
-            acked = Hashtbl.create 64;
-            putting = Hashtbl.create 64;
-            buffered = Hashtbl.create 16;
+            acked = Hfl.Tbl.create 64;
+            putting = Hfl.Tbl.create 64;
+            buffered = Hfl.Tbl.create 16;
             buffered_count = 0;
+            buffer_seq = 0;
             last_event = Engine.now t.engine;
-            put_started = Hashtbl.create 64;
+            put_started = Hfl.Tbl.create 64;
             on_done;
           }
         in

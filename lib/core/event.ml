@@ -10,7 +10,7 @@ let wire_bytes = function
   | Reprocess { packet; _ } -> framing_bytes + Packet.wire_bytes packet
   | Introspect { code; key; info } ->
     framing_bytes + String.length code
-    + String.length (Hfl.to_string key)
+    + Hfl.string_length key
     + Openmb_wire.Json.wire_size info
 
 let key = function Reprocess { key; _ } -> key | Introspect { key; _ } -> key

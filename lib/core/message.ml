@@ -1036,18 +1036,18 @@ let request_wire_bytes ?(framing:Framing.t = Framing.Json) m =
     | Put_support_shared { chunk = c; _ }
     | Put_report_perflow { chunk = c; _ }
     | Put_report_shared { chunk = c; _ } ->
-      json_overhead + Chunk.size_bytes c + String.length (Hfl.to_string c.key)
+      json_overhead + Chunk.size_bytes c + Hfl.string_length c.key
     | Put_batch { chunks; _ } ->
       (* One message envelope plus, per chunk, the chunk object's own
          punctuation — sized like a single put so batching N chunks
          saves exactly N-1 envelopes on the simulated channel. *)
       List.fold_left
         (fun acc c ->
-          acc + json_overhead + Chunk.size_bytes c + String.length (Hfl.to_string c.key))
+          acc + json_overhead + Chunk.size_bytes c + Hfl.string_length c.key)
         json_overhead chunks
     | Reprocess_packet { key; packet } ->
       json_overhead + Packet.wire_bytes packet
-      + String.length (Hfl.to_string key)
+      + Hfl.string_length key
     | Get_config _ | Set_config _ | Del_config _ | Get_support_perflow _
     | Del_support_perflow _ | Get_support_shared | Get_report_perflow _
     | Del_report_perflow _ | Get_report_shared | Get_stats _ | Enable_events _
@@ -1060,7 +1060,7 @@ let reply_wire_bytes ?(framing:Framing.t = Framing.Json) m =
   | Framing.Json -> (
     match m with
     | Reply { reply = State_chunk c; _ } ->
-      json_overhead + Chunk.size_bytes c + String.length (Hfl.to_string c.key)
+      json_overhead + Chunk.size_bytes c + Hfl.string_length c.key
     | Event_msg ev -> json_overhead + Event.wire_bytes ev
     | Reply
         {

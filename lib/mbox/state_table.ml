@@ -2,7 +2,6 @@ open Openmb_net
 
 type 'a entry = {
   key : Hfl.t;
-  id : string Lazy.t;
   mutable value : 'a;
   mutable moved : bool;
 }
@@ -74,7 +73,7 @@ let create ?(indexed = false) ?packed ~granularity () =
     move_filters = [];
   }
 
-let mk_entry key value moved = { key; id = lazy (Hfl.to_string key); value; moved }
+let mk_entry key value moved = { key; value; moved }
 
 let src_of_key key =
   List.find_map
@@ -102,7 +101,7 @@ let index_add t (e : 'a entry) =
           Hashtbl.replace idx src b;
           b
       in
-      Hashtbl.replace bucket (Lazy.force e.id) e)
+      Hashtbl.replace bucket (Hfl.to_string e.key) e)
 
 let index_remove t (e : 'a entry) =
   match t.by_src with
@@ -113,7 +112,7 @@ let index_remove t (e : 'a entry) =
     | Some src -> (
       match Hashtbl.find_opt idx src with
       | Some bucket ->
-        Hashtbl.remove bucket (Lazy.force e.id);
+        Hashtbl.remove bucket (Hfl.to_string e.key);
         if Hashtbl.length bucket = 0 then Hashtbl.remove idx src
       | None -> ()))
 
@@ -311,8 +310,8 @@ let remove_entry t (e : 'a entry) =
     match masked_of_key t e.key with
     | Some (pa, pb) ->
       ignore (Flat_table.remove ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) : bool)
-    | None -> Hashtbl.remove t.by_key (Lazy.force e.id))
-  | None -> Hashtbl.remove t.by_key (Lazy.force e.id));
+    | None -> Hashtbl.remove t.by_key (Hfl.to_string e.key))
+  | None -> Hashtbl.remove t.by_key (Hfl.to_string e.key));
   index_remove t e
 
 let remove_matching t hfl =

@@ -12,9 +12,6 @@
 
 type 'a entry = {
   key : Openmb_net.Hfl.t;  (** The entry's state key at MB granularity. *)
-  id : string Lazy.t;
-      (** Memoized [Hfl.to_string key], so index maintenance and
-          coarse-key bookkeeping never re-stringify the key. *)
   mutable value : 'a;
   mutable moved : bool;
       (** Set when the entry has been exported by a get; packet-driven

@@ -121,6 +121,33 @@ let field_to_string = function
 
 let to_string hfl = String.concat "," (List.map field_to_string hfl)
 
+(* Decimal width of an int as [string_of_int] prints it.  Counting on
+   the non-positive side keeps [min_int] exact. *)
+let int_width n =
+  let rec go n acc = if n > -10 then acc else go (n / 10) (acc + 1) in
+  if n < 0 then go n 2 else go (-n) 1
+
+let addr_width a =
+  int_width ((a lsr 24) land 0xFF) + int_width ((a lsr 16) land 0xFF)
+  + int_width ((a lsr 8) land 0xFF) + int_width (a land 0xFF) + 3
+
+(* [String.length (field_to_string f)], counted: every name prefix
+   ("nw_src=", "tp_dst=", ...) is 7 bytes except "proto=". *)
+let field_length = function
+  | Src_ip p | Dst_ip p ->
+    7 + addr_width (Addr.to_int (Addr.prefix_base p)) + 1 + int_width (Addr.prefix_len p)
+  | Src_port v | Dst_port v -> 7 + int_width v
+  | Proto Packet.Tcp | Proto Packet.Udp -> 9
+  | Proto Packet.Icmp -> 10
+
+let rec fields_length acc = function
+  | [] -> acc
+  | f :: rest -> fields_length (acc + 1 + field_length f) rest
+
+let string_length = function
+  | [] -> 0
+  | f :: rest -> fields_length (field_length f) rest
+
 let field_of_string s =
   match String.index_opt s '=' with
   | None -> invalid_arg (Printf.sprintf "Hfl.of_string: missing '=' in %S" s)
@@ -139,11 +166,13 @@ let of_string s =
   if String.length s = 0 then []
   else List.map field_of_string (String.split_on_char ',' s)
 
+let proto_rank = function Packet.Tcp -> 0 | Packet.Udp -> 1 | Packet.Icmp -> 2
+
 let field_equal a b =
   match (a, b) with
   | Src_ip p, Src_ip q | Dst_ip p, Dst_ip q -> Addr.prefix_equal p q
   | Src_port p, Src_port q | Dst_port p, Dst_port q -> p = q
-  | Proto p, Proto q -> p = q
+  | Proto p, Proto q -> Int.equal (proto_rank p) (proto_rank q)
   | (Src_ip _ | Dst_ip _ | Src_port _ | Dst_port _ | Proto _), _ -> false
 
 let dim_rank = function
@@ -173,6 +202,26 @@ let equal a b =
   a == b
   || List.length a = List.length b
      && List.equal field_equal (List.sort field_compare a) (List.sort field_compare b)
+
+(* One int per constraint for hashing: a 3-bit tag over the value.
+   Distinct fields may share a word; equal fields always do. *)
+let field_word = function
+  | Src_ip p -> ((Addr.to_int (Addr.prefix_base p) lsl 6) lor Addr.prefix_len p) lsl 3
+  | Dst_ip p -> (((Addr.to_int (Addr.prefix_base p) lsl 6) lor Addr.prefix_len p) lsl 3) lor 1
+  | Src_port v -> (v lsl 3) lor 2
+  | Dst_port v -> (v lsl 3) lor 3
+  | Proto p -> (proto_rank p lsl 3) lor 4
+
+let rec hash_fields h = function
+  | [] -> h
+  | f :: rest -> hash_fields (Five_tuple.hash_words ~pa:h ~pb:(field_word f)) rest
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal a b = a == b || List.equal field_equal a b
+  let hash hfl = hash_fields 0 hfl
+end)
 
 let pp fmt hfl =
   if hfl = [] then Format.pp_print_string fmt "<any>"

@@ -87,8 +87,21 @@ val to_string : t -> string
 (** OpenFlow-style rendering, e.g.
     ["nw_src=1.1.1.0/24,tp_dst=80"]; [""] for {!any}. *)
 
+val string_length : t -> int
+(** [String.length (to_string h)], counted from the fields' digit
+    widths without building the string.  Wire sizers use it. *)
+
 val of_string : string -> t
 (** Inverse of {!to_string}.  Raises [Invalid_argument] on malformed
     input. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by the HFL value itself.  Keys are equal when
+    their constraints are equal in the same order — the same
+    equivalence as equal {!to_string} output, since prefix bases are
+    stored masked — so a table here pairs up exactly the keys a
+    [to_string]-keyed table would, without formatting any of them.
+    Hashing allocates nothing.  Use {!equal} for order-insensitive
+    comparison. *)
 
 val pp : Format.formatter -> t -> unit

@@ -111,25 +111,35 @@ type parser_state = { src : string; mutable pos : int }
 
 let fail st msg = raise (Parse_error (Printf.sprintf "%s at position %d" msg st.pos))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The per-character path reads the source in place: [at_end] guards
+   every [current], and [next_is] is the bounds-checked one-character
+   lookahead.  Nothing here allocates: every chunk a put installs is
+   parsed through it. *)
+let[@inline] at_end st = st.pos >= String.length st.src
+let[@inline] current st = String.unsafe_get st.src st.pos
+let[@inline] next_is st c = (not (at_end st)) && Char.equal (current st) c
 
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
+let skip_ws st =
+  while
+    (not (at_end st))
+    && match current st with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    advance st
+  done
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
+  if next_is st c then advance st else fail st (Printf.sprintf "expected '%c'" c)
+
+let rec matches_at src pos word i =
+  i >= String.length word
+  || Char.equal (String.unsafe_get src (pos + i)) (String.unsafe_get word i)
+     && matches_at src pos word (i + 1)
 
 let parse_literal st word value =
   let n = String.length word in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
+  if st.pos + n <= String.length st.src && matches_at st.src st.pos word 0 then begin
     st.pos <- st.pos + n;
     value
   end
@@ -162,76 +172,89 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
-let parse_string_body st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
+(* String body after the first escape: decode into [buf] up to the
+   closing quote. *)
+let rec parse_escaped st buf =
+  if at_end st then fail st "unterminated string"
+  else
+    match current st with
+    | '"' ->
       advance st;
       Buffer.contents buf
-    | Some '\\' ->
+    | '\\' ->
       advance st;
-      (match peek st with
-      | Some '"' -> Buffer.add_char buf '"'; advance st
-      | Some '\\' -> Buffer.add_char buf '\\'; advance st
-      | Some '/' -> Buffer.add_char buf '/'; advance st
-      | Some 'n' -> Buffer.add_char buf '\n'; advance st
-      | Some 't' -> Buffer.add_char buf '\t'; advance st
-      | Some 'r' -> Buffer.add_char buf '\r'; advance st
-      | Some 'b' -> Buffer.add_char buf '\b'; advance st
-      | Some 'f' -> Buffer.add_char buf '\012'; advance st
-      | Some 'u' ->
-        advance st;
-        let code = parse_hex4 st in
-        (* Combine surrogate pairs. *)
-        let code =
-          if code >= 0xD800 && code <= 0xDBFF then begin
-            if peek st = Some '\\' then begin
-              advance st;
-              if peek st = Some 'u' then begin
-                advance st;
-                let low = parse_hex4 st in
-                if low >= 0xDC00 && low <= 0xDFFF then
-                  0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-                else fail st "invalid low surrogate"
-              end
-              else fail st "expected low surrogate"
-            end
-            else fail st "unpaired surrogate"
-          end
-          else code
-        in
-        add_utf8 buf code
-      | _ -> fail st "invalid escape");
-      loop ()
-    | Some c ->
+      (if at_end st then fail st "invalid escape"
+       else
+         match current st with
+         | '"' -> Buffer.add_char buf '"'; advance st
+         | '\\' -> Buffer.add_char buf '\\'; advance st
+         | '/' -> Buffer.add_char buf '/'; advance st
+         | 'n' -> Buffer.add_char buf '\n'; advance st
+         | 't' -> Buffer.add_char buf '\t'; advance st
+         | 'r' -> Buffer.add_char buf '\r'; advance st
+         | 'b' -> Buffer.add_char buf '\b'; advance st
+         | 'f' -> Buffer.add_char buf '\012'; advance st
+         | 'u' ->
+           advance st;
+           let code = parse_hex4 st in
+           (* Combine surrogate pairs. *)
+           let code =
+             if code >= 0xD800 && code <= 0xDBFF then begin
+               if next_is st '\\' then begin
+                 advance st;
+                 if next_is st 'u' then begin
+                   advance st;
+                   let low = parse_hex4 st in
+                   if low >= 0xDC00 && low <= 0xDFFF then
+                     0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                   else fail st "invalid low surrogate"
+                 end
+                 else fail st "expected low surrogate"
+               end
+               else fail st "unpaired surrogate"
+             end
+             else code
+           in
+           add_utf8 buf code
+         | _ -> fail st "invalid escape");
+      parse_escaped st buf
+    | c ->
       Buffer.add_char buf c;
       advance st;
-      loop ()
-  in
-  loop ()
+      parse_escaped st buf
+
+(* Most strings hold no escape: scan to the closing quote and copy the
+   span once.  The first backslash hands over to [parse_escaped]. *)
+let parse_string_body st =
+  expect st '"';
+  let start = st.pos in
+  while (not (at_end st)) && not (Char.equal (current st) '"' || Char.equal (current st) '\\') do
+    advance st
+  done;
+  if at_end st then fail st "unterminated string"
+  else if Char.equal (current st) '"' then begin
+    advance st;
+    String.sub st.src start (st.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (max 16 (2 * (st.pos - start))) in
+    Buffer.add_substring buf st.src start (st.pos - start);
+    parse_escaped st buf
+  end
+
+let is_number_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let is_fraction_char c = c = '.' || c = 'e' || c = 'E'
 
 let parse_number st =
   let start = st.pos in
-  let is_number_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  let rec consume () =
-    match peek st with
-    | Some c when is_number_char c ->
-      advance st;
-      consume ()
-    | _ -> ()
-  in
-  consume ();
+  while (not (at_end st)) && is_number_char (current st) do
+    advance st
+  done;
   let lit = String.sub st.src start (st.pos - start) in
-  let is_integral =
-    not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') lit)
-  in
-  if is_integral then
+  if not (String.exists is_fraction_char lit) then
     match int_of_string_opt lit with
     | Some i -> Int i
     | None -> (
@@ -245,66 +268,65 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some 'n' -> parse_literal st "null" Null
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some '"' -> String (parse_string_body st)
-  | Some '[' -> parse_list st
-  | Some '{' -> parse_assoc st
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected character '%c'" c)
+  if at_end st then fail st "unexpected end of input"
+  else
+    match current st with
+    | 'n' -> parse_literal st "null" Null
+    | 't' -> parse_literal st "true" (Bool true)
+    | 'f' -> parse_literal st "false" (Bool false)
+    | '"' -> String (parse_string_body st)
+    | '[' -> parse_list st
+    | '{' -> parse_assoc st
+    | '-' | '0' .. '9' -> parse_number st
+    | c -> fail st (Printf.sprintf "unexpected character '%c'" c)
 
 and parse_list st =
   expect st '[';
   skip_ws st;
-  if peek st = Some ']' then begin
+  if next_is st ']' then begin
     advance st;
     List []
   end
-  else begin
-    let rec items acc =
-      let v = parse_value st in
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        advance st;
-        items (v :: acc)
-      | Some ']' ->
-        advance st;
-        List (List.rev (v :: acc))
-      | _ -> fail st "expected ',' or ']'"
-    in
-    items []
+  else list_items st []
+
+and list_items st acc =
+  let v = parse_value st in
+  skip_ws st;
+  if next_is st ',' then begin
+    advance st;
+    list_items st (v :: acc)
   end
+  else if next_is st ']' then begin
+    advance st;
+    List (List.rev (v :: acc))
+  end
+  else fail st "expected ',' or ']'"
 
 and parse_assoc st =
   expect st '{';
   skip_ws st;
-  if peek st = Some '}' then begin
+  if next_is st '}' then begin
     advance st;
     Assoc []
   end
-  else begin
-    let rec fields acc =
-      skip_ws st;
-      let k = parse_string_body st in
-      skip_ws st;
-      expect st ':';
-      let v = parse_value st in
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        advance st;
-        fields ((k, v) :: acc)
-      | Some '}' ->
-        advance st;
-        Assoc (List.rev ((k, v) :: acc))
-      | _ -> fail st "expected ',' or '}'"
-    in
-    fields []
+  else assoc_fields st []
+
+and assoc_fields st acc =
+  skip_ws st;
+  let k = parse_string_body st in
+  skip_ws st;
+  expect st ':';
+  let v = parse_value st in
+  skip_ws st;
+  if next_is st ',' then begin
+    advance st;
+    assoc_fields st ((k, v) :: acc)
   end
+  else if next_is st '}' then begin
+    advance st;
+    Assoc (List.rev ((k, v) :: acc))
+  end
+  else fail st "expected ',' or '}'"
 
 let of_string s =
   let st = { src = s; pos = 0 } in

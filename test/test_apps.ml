@@ -135,6 +135,56 @@ let test_migration_latency_penalty_small () =
     (mig_mean < ref_mean *. 1.10)
 
 (* ------------------------------------------------------------------ *)
+(* State transfer allocation                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A move's host cost per flow: a 64-flow /24 slice goes from one
+   monitor to another through the full migrate_perflow path (config
+   clone, moveInternal, routing update).  Per-chunk key bookkeeping
+   used to format every chunk's HFL several times over (agent, wire
+   sizing, controller tables) — about 3,700 minor words per flow. *)
+let test_move_allocation_per_flow () =
+  let flows = 64 in
+  let scenario = Scenario.create ~ctrl_config:fast_ctrl ~with_recorder:false () in
+  let engine = Scenario.engine scenario in
+  let m1 = Monitor.create engine ~name:"mon1" () in
+  let m2 = Monitor.create engine ~name:"mon2" () in
+  Scenario.attach_mb scenario ~port:"mb1" ~receive:(Monitor.receive m1)
+    ~base:(Monitor.base m1) ~impl:(Monitor.impl m1);
+  Scenario.attach_mb scenario ~port:"mb2" ~receive:(Monitor.receive m2)
+    ~base:(Monitor.base m2) ~impl:(Monitor.impl m2);
+  Scenario.install_default_route scenario ~port:"mb1";
+  let sw = Scenario.switch scenario in
+  for j = 0 to flows - 1 do
+    let p =
+      Packet.make ~id:j ~ts:(Time.ms 1.0)
+        ~src_ip:(Addr.of_string (Printf.sprintf "10.2.0.%d" (j + 1)))
+        ~dst_ip:(Addr.of_string "1.1.1.5") ~src_port:(20_000 + j) ~dst_port:80
+        ~proto:Packet.Tcp ()
+    in
+    Scenario.at scenario (Time.ms 1.0) (fun () -> Switch.receive sw p)
+  done;
+  Scenario.run scenario;
+  Alcotest.(check int) "source tracks the slice" flows (Monitor.tracked_flows m1);
+  let moved = ref None in
+  let w0 = Gc.minor_words () in
+  Migrate.migrate_perflow scenario ~src:"mon1" ~dst:"mon2"
+    ~key:[ Hfl.Src_ip (Addr.prefix_of_string "10.2.0.0/24") ]
+    ~dst_port:"mb2"
+    ~on_done:(fun r -> moved := Some r)
+    ();
+  Scenario.run scenario;
+  let per_flow = (Gc.minor_words () -. w0) /. float_of_int flows in
+  (match !moved with
+  | Some { Migrate.move = Some mr; _ } ->
+    Alcotest.(check int) "every flow moved" flows mr.Controller.chunks_moved
+  | _ -> Alcotest.fail "migration did not complete");
+  Alcotest.(check int) "destination tracks the slice" flows (Monitor.tracked_flows m2);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per flow moved (< 2500)" per_flow)
+    true (per_flow < 2500.0)
+
+(* ------------------------------------------------------------------ *)
 (* Monitor scaling: no over- or under-reporting                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -501,6 +551,8 @@ let () =
             test_migration_correctness;
           Alcotest.test_case "latency penalty small" `Slow
             test_migration_latency_penalty_small;
+          Alcotest.test_case "move allocation per flow" `Quick
+            test_move_allocation_per_flow;
         ] );
       ( "scaling",
         [

@@ -885,6 +885,54 @@ let test_buffered_peak_tracked () =
     (Controller.events_forwarded r.ctrl)
     (Openmb_apps.Dummy_mb.reprocessed r.dst)
 
+let test_mid_move_flows_replay_in_raised_order () =
+  (* Two flows start mid-move (no chunk is ever exported for them) and
+     raise interleaved re-process events while the get stream is still
+     open, so the controller holds all four until the move returns.
+     Their replay at the destination must follow the order they were
+     raised, across keys and within each key: state such as NAT port
+     allocation depends on it. *)
+  let engine = Engine.create () in
+  let ctrl = Controller.create engine ~config:test_config () in
+  let src = Openmb_apps.Dummy_mb.create engine ~name:"src" () in
+  let dst = Openmb_apps.Dummy_mb.create engine ~name:"dst" () in
+  Openmb_apps.Dummy_mb.populate src ~n:100;
+  let replayed = ref [] in
+  let dst_impl = Openmb_apps.Dummy_mb.impl dst in
+  let dst_impl =
+    {
+      dst_impl with
+      Southbound.process_packet =
+        (fun p ~side_effects ->
+          replayed := p.Packet.id :: !replayed;
+          dst_impl.Southbound.process_packet p ~side_effects);
+    }
+  in
+  Controller.connect ctrl (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl src) ());
+  Controller.connect ctrl (Mb_agent.create engine ~impl:dst_impl ());
+  let flow_a = Openmb_apps.Dummy_mb.key_for 900 and flow_b = Openmb_apps.Dummy_mb.key_for 901 in
+  let raised = [ (1, flow_a); (2, flow_b); (3, flow_a); (4, flow_b); (5, flow_b); (6, flow_a) ] in
+  List.iteri
+    (fun i (id, key) ->
+      ignore
+        (Engine.schedule_after engine
+           (Time.us (300.0 +. (10.0 *. float_of_int i)))
+           (fun () ->
+             Openmb_mbox.Mb_base.raise_event (Openmb_apps.Dummy_mb.base src)
+               (Event.Reprocess { key; packet = mk_packet ~id () }))))
+    raised;
+  let result = ref None in
+  Controller.move_internal ctrl ~src:"src" ~dst:"dst" ~key:Hfl.any ~on_done:(fun res ->
+      result := Some res);
+  Engine.run engine;
+  (match !result with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "move failed");
+  Alcotest.(check int) "all held until the move returned" (List.length raised)
+    (Controller.events_buffered_peak ctrl);
+  Alcotest.(check (list int)) "replayed in raised order" (List.map fst raised)
+    (List.rev !replayed)
+
 let test_duplicate_connect_rejected () =
   let engine = Engine.create () in
   let ctrl = Controller.create engine ~config:test_config () in
@@ -1151,6 +1199,8 @@ let () =
           Alcotest.test_case "move empty key range" `Quick test_move_empty_key_range;
           Alcotest.test_case "event wire bytes" `Quick test_event_wire_bytes;
           Alcotest.test_case "buffered peak tracked" `Quick test_buffered_peak_tracked;
+          Alcotest.test_case "mid-move flows replay in raised order" `Quick
+            test_mid_move_flows_replay_in_raised_order;
           Alcotest.test_case "duplicate connect" `Quick test_duplicate_connect_rejected;
           Alcotest.test_case "move under binary framing" `Quick
             test_move_under_binary_framing;

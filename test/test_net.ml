@@ -444,6 +444,73 @@ let prop_hfl_subsumes_implies_match =
       in
       (not (Hfl.subsumes a b && Hfl.matches_tuple b tup)) || Hfl.matches_tuple a tup)
 
+(* Random HFLs over the edge cases of the rendering: empty keys, /0
+   and /32 prefixes, ports 0 and 65535 (and arbitrary ints, negative
+   ones included), every protocol, duplicate dimensions, any order. *)
+let hfl_gen =
+  QCheck2.Gen.(
+    let prefix =
+      map2
+        (fun a len -> Addr.prefix (Addr.of_int a) len)
+        (oneof [ return 0; return 0xFFFFFFFF; int_bound 0xFFFFFFFF ])
+        (oneof [ return 0; return 32; int_range 0 32 ])
+    in
+    let port = oneof [ return 0; return 65535; int_range 0 65535; int ] in
+    let field =
+      oneof
+        [
+          map (fun p -> Hfl.Src_ip p) prefix;
+          map (fun p -> Hfl.Dst_ip p) prefix;
+          map (fun p -> Hfl.Src_port p) port;
+          map (fun p -> Hfl.Dst_port p) port;
+          map (fun p -> Hfl.Proto p) (oneofl [ Packet.Tcp; Packet.Udp; Packet.Icmp ]);
+        ]
+    in
+    list_size (oneof [ return 0; int_range 0 6 ]) field)
+
+let hfl_print h = Printf.sprintf "%S" (Hfl.to_string h)
+
+let prop_hfl_string_length =
+  QCheck2.Test.make ~name:"string_length is the rendered length" ~count:1000
+    ~print:hfl_print hfl_gen (fun h ->
+      Hfl.string_length h = String.length (Hfl.to_string h))
+
+(* A second key that often renders the same: a fresh copy (rebuilt
+   through the string, so not physically shared), a reordering, a
+   one-field change, the same prefix bases under another mask length,
+   or an unrelated key. *)
+let prop_hfl_tbl_key_equality =
+  let gen =
+    QCheck2.Gen.(
+      hfl_gen >>= fun a ->
+      let b =
+        oneof
+          [
+            return (Hfl.of_string (Hfl.to_string a));
+            return (List.rev a);
+            map
+              (fun len ->
+                List.map
+                  (function
+                    | Hfl.Src_ip p -> Hfl.Src_ip (Addr.prefix (Addr.prefix_base p) len)
+                    | Hfl.Dst_ip p -> Hfl.Dst_ip (Addr.prefix (Addr.prefix_base p) len)
+                    | f -> f)
+                  a)
+              (int_range 0 32);
+            map (fun f -> match a with [] -> [ f ] | _ :: rest -> f :: rest)
+              (map (fun p -> Hfl.Dst_port p) (oneof [ return 0; return 65535; int_range 0 65535 ]));
+            hfl_gen;
+          ]
+      in
+      pair (return a) b)
+  in
+  QCheck2.Test.make ~name:"Tbl keys are equal iff their strings are" ~count:1000
+    ~print:QCheck2.Print.(pair hfl_print hfl_print)
+    gen (fun (a, b) ->
+      let tbl = Hfl.Tbl.create 4 in
+      Hfl.Tbl.replace tbl a ();
+      Bool.equal (Hfl.Tbl.mem tbl b) (String.equal (Hfl.to_string a) (Hfl.to_string b)))
+
 let prop_hfl_packet_matches_tuple =
   (* The zero-allocation packet fast path must agree with matching the
      packet's extracted five-tuple. *)
@@ -1047,7 +1114,13 @@ let () =
           Alcotest.test_case "equality" `Quick test_hfl_equal_order_insensitive;
           Alcotest.test_case "to_tuple" `Quick test_hfl_to_tuple;
         ]
-        @ qcheck [ prop_hfl_subsumes_implies_match; prop_hfl_packet_matches_tuple ] );
+        @ qcheck
+            [
+              prop_hfl_subsumes_implies_match;
+              prop_hfl_packet_matches_tuple;
+              prop_hfl_string_length;
+              prop_hfl_tbl_key_equality;
+            ] );
       ( "flow_table",
         [
           Alcotest.test_case "priority" `Quick test_flow_table_priority;

@@ -296,6 +296,121 @@ let prop_f64_roundtrip =
         (Int64.bits_of_float
            (Binary.get_f64 (Binary.reader (encode (fun k -> Binary.f64 k v))))))
 
+(* ------------------------------------------------------------------ *)
+(* JSON wire sizing of key-bearing messages                            *)
+(* ------------------------------------------------------------------ *)
+
+module Hfl = Openmb_net.Hfl
+module Packet = Openmb_net.Packet
+module Message = Openmb_core.Message
+module Event = Openmb_core.Event
+module Chunk = Openmb_core.Chunk
+
+(* The JSON-framing sizes as defined by their formulas, with each key's
+   length taken from its rendered string: the message envelope is 48
+   bytes, an event's framing 32. *)
+let key_len h = String.length (Hfl.to_string h)
+let ref_chunk c = 48 + Chunk.size_bytes c + key_len c.Chunk.key
+
+let ref_event = function
+  | Event.Reprocess { packet; _ } -> 32 + Packet.wire_bytes packet
+  | Event.Introspect { code; key; info } ->
+    32 + String.length code + key_len key + Json.wire_size info
+
+let ref_request (m : Message.to_mb) =
+  match m.req with
+  | Message.Put_support_perflow { chunk; _ } | Message.Put_report_perflow { chunk; _ }
+  | Message.Put_support_shared { chunk; _ } | Message.Put_report_shared { chunk; _ } ->
+    ref_chunk chunk
+  | Message.Put_batch { chunks; _ } -> List.fold_left (fun a c -> a + ref_chunk c) 48 chunks
+  | Message.Reprocess_packet { key; packet } -> 48 + Packet.wire_bytes packet + key_len key
+  | _ -> invalid_arg "ref_request: not a key-bearing request"
+
+let ref_reply = function
+  | Message.Reply { reply = Message.State_chunk c; _ } -> ref_chunk c
+  | Message.Event_msg ev -> 48 + ref_event ev
+  | _ -> invalid_arg "ref_reply: not a key-bearing reply"
+
+(* Keys over the edge cases of the rendering: empty, /0 and /32
+   prefixes, ports 0 and 65535, every protocol. *)
+let gen_key =
+  QCheck2.Gen.(
+    let prefix =
+      map2
+        (fun a len -> Openmb_net.Addr.prefix (Openmb_net.Addr.of_int a) len)
+        (int_bound 0xFFFFFFFF)
+        (oneof [ return 0; return 32; int_range 0 32 ])
+    in
+    let port = oneof [ return 0; return 65535; int_range 0 65535 ] in
+    list_size (int_range 0 5)
+      (oneof
+         [
+           map (fun p -> Hfl.Src_ip p) prefix;
+           map (fun p -> Hfl.Dst_ip p) prefix;
+           map (fun p -> Hfl.Src_port p) port;
+           map (fun p -> Hfl.Dst_port p) port;
+           map (fun p -> Hfl.Proto p) (oneofl [ Packet.Tcp; Packet.Udp; Packet.Icmp ]);
+         ]))
+
+let gen_sized_chunk =
+  QCheck2.Gen.(
+    map2
+      (fun key cipher ->
+        {
+          Chunk.mb_kind = "prads";
+          role = Openmb_core.Taxonomy.Supporting;
+          partition = Openmb_core.Taxonomy.Per_flow;
+          key;
+          cipher;
+        })
+      gen_key (string_size (int_range 0 200)))
+
+let gen_packet =
+  QCheck2.Gen.(
+    map2
+      (fun (src, dst) (sp, dp) ->
+        Packet.make ~id:1 ~ts:Openmb_sim.Time.zero ~src_ip:(Openmb_net.Addr.of_int src)
+          ~dst_ip:(Openmb_net.Addr.of_int dst) ~src_port:sp ~dst_port:dp ~proto:Packet.Udp ())
+      (pair (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF))
+      (pair (int_bound 65535) (int_bound 65535)))
+
+let gen_event =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun key packet -> Event.Reprocess { key; packet }) gen_key gen_packet;
+        map2
+          (fun key code -> Event.Introspect { code; key; info = Json.Assoc [ ("n", Json.Int 1) ] })
+          gen_key
+          (string_size ~gen:printable (int_range 0 20));
+      ])
+
+let prop_json_sizers_match_reference =
+  let open QCheck2.Gen in
+  let request req = { Message.op = 3; tid = 0; req } in
+  let gen =
+    oneof
+      [
+        map (fun chunk -> `Req (request (Message.Put_support_perflow { seq = 1; chunk })))
+          gen_sized_chunk;
+        map (fun chunk -> `Req (request (Message.Put_report_shared { seq = 1; chunk })))
+          gen_sized_chunk;
+        map (fun chunks -> `Req (request (Message.Put_batch { seq = 2; chunks })))
+          (list_size (int_range 0 6) gen_sized_chunk);
+        map2 (fun key packet -> `Req (request (Message.Reprocess_packet { key; packet })))
+          gen_key gen_packet;
+        map (fun c -> `Rep (Message.Reply { op = 4; reply = Message.State_chunk c }))
+          gen_sized_chunk;
+        map (fun ev -> `Rep (Message.Event_msg ev)) gen_event;
+        map (fun ev -> `Ev ev) gen_event;
+      ]
+  in
+  QCheck2.Test.make ~name:"JSON sizes of key-bearing messages match the reference"
+    ~count:500 gen (function
+    | `Req m -> Message.request_wire_bytes m = ref_request m
+    | `Rep m -> Message.reply_wire_bytes m = ref_reply m
+    | `Ev ev -> Event.wire_bytes ev = ref_event ev)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -342,4 +457,5 @@ let () =
               prop_str_roundtrip;
               prop_f64_roundtrip;
             ] );
+      ("sizing", qcheck [ prop_json_sizers_match_reference ]);
     ]
